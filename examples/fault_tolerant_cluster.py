@@ -18,6 +18,10 @@ the same machinery the chaos test suite uses, so each scenario is
 reproducible: first a SIGKILL mid-workload that recovery absorbs with
 bitwise-identical answers and cache counters, then a kill storm that
 exhausts the budget and shows graceful degradation.
+
+Process shards attach the event table's shared-memory segments.  The
+demo gives them a private copy of the table and closes it after the
+clusters, which unlinks the segments.
 """
 
 from __future__ import annotations
@@ -62,22 +66,34 @@ def main() -> None:
     lone = Locater(dataset.building, dataset.metadata, dataset.table)
     expected = [lone.locate_batch(half) for half in halves]
 
+    table = dataset.table.restrict(dataset.table.span())
+    try:
+        absorb_kill(dataset, table, router, victim, halves, expected,
+                    lone.cache.stats())
+        kill_storm(dataset, table, router, victim, queries)
+    finally:
+        table.close()
+
+
+def absorb_kill(dataset, table, router, victim, halves, expected,
+                expected_cache) -> None:
     # 3. SIGKILL mid-workload, absorbed.  The fault plan kills the
     #    busiest shard's worker right before its second batch dispatch;
-    #    supervision resurrects it (re-fork + checkpoint restore) and
-    #    re-dispatches only its slice.
+    #    supervision resurrects it (re-fork, re-attach, checkpoint
+    #    restore) and re-dispatches only its slice.
     plan = FaultPlan([Fault(shard_id=victim, kind="kill",
                             method="locate_batch", call_index=1)])
     with ShardedLocater(dataset.building, dataset.metadata,
-                        dataset.table, shard_count=4, router=router(),
+                        table, shard_count=4, router=router(),
                         executor=FaultInjectingExecutor(
                             ProcessShardExecutor(), plan),
+                        shared_memory=True,
                         recovery=RecoveryPolicy(max_restarts=2,
                                                 backoff=(0.0,))
                         ) as cluster:
         answers = [cluster.locate_batch(half) for half in halves]
         assert answers == expected
-        assert cluster.cache_stats().total == lone.cache.stats()
+        assert cluster.cache_stats().total == expected_cache
         [episode] = cluster.recovery_events
         print(f"kill    : shard {episode.shard_id} "
               f"({episode.error.split('(')[-1].rstrip(')')})")
@@ -87,6 +103,8 @@ def main() -> None:
         print("answers and summed cache counters: bitwise identical "
               "to the lone system\n")
 
+
+def kill_storm(dataset, table, router, victim, queries) -> None:
     # 4. Budget exhausted → quarantine.  Three kills against a budget
     #    of one: the shard is retired for good and only *its* devices
     #    degrade (here: a typed error naming them; fallback mode would
@@ -106,9 +124,10 @@ def main() -> None:
                              method="locate_batch", call_index=index)
                        for index in range(3)])
     with ShardedLocater(dataset.building, dataset.metadata,
-                        dataset.table, shard_count=4, router=router(),
+                        table, shard_count=4, router=router(),
                         executor=FaultInjectingExecutor(
                             ProcessShardExecutor(), storm),
+                        shared_memory=True,
                         recovery=RecoveryPolicy(max_restarts=1,
                                                 backoff=(0.0,),
                                                 degraded="error")

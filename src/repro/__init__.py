@@ -92,8 +92,8 @@ Sharded cluster layer
 ---------------------
 
 Past one process, :class:`~repro.cluster.ShardedLocater` serves the
-same query surface from N shards.  The event log is *replicated* to
-every shard (cleaning couples devices through co-location — neighbor
+same query surface from N shards.  Every shard reads the *whole* event
+log (cleaning couples devices through co-location — neighbor
 discovery, affinity mining and the population aggregate read the whole
 log) while serving state is *partitioned* by a pluggable
 :class:`~repro.cluster.ShardRouter`: each device's queries, trained
@@ -102,9 +102,9 @@ models, storage namespace (:meth:`StorageEngine.namespace
 live on exactly one shard.  A swappable
 :class:`~repro.cluster.ShardExecutor` decides placement — serial and
 thread-pool shards share the cluster's table in-process; the
-process-pool executor runs one actor worker per shard, either with a
-fork copy-on-write replica or (``shared_memory=True``) *attached* to
-the one shared-memory table copy — see the memory architecture below.
+process-pool executor runs one actor worker per shard *attached* to
+the one shared-memory table copy (``shared_memory=True``) — see the
+memory architecture below.
 Answers are bitwise identical to a lone
 ``Locater`` whenever they are pure functions of the table
 (``tests/integration/test_cluster_equivalence.py``) — and with the §5
@@ -148,11 +148,14 @@ can *spill* cold device logs to compressed temp files;
 ``ShardedLocater(..., shared_memory=True)`` process cluster holds **one
 physical copy** of the table regardless of shard count — workers attach
 read-only views by segment name (``EventTable.describe()`` /
-``EventTable.attach()``), and ingest fans out generation-keyed
-``sync_payload`` diffs instead of replicating merged tables.  This also
-lifts the fork-only restriction: attached workers run under ``spawn``
-too.  Ownership rule: the process that built the store unlinks its
-segments on ``close``; attached processes never do.
+``EventTable.attach()``), under ``fork`` and ``spawn`` alike, and
+ingest fans out generation-keyed ``sync_payload`` diffs: the owner
+merges once and no event data crosses a pipe.  Process clusters only
+run this way; the cluster refuses a heap table rather than migrate
+the caller's table behind its back.  Ownership rule: the process that
+built the store unlinks its segments on ``close``, so the caller
+closes the table after the cluster (migrate a private copy, never a
+table someone else still reads); attached processes never unlink.
 
 Above the stores sits an opt-in eviction tier.  Setting
 ``LocaterConfig(memory_budget_bytes=...)`` gives the ``Locater`` a
@@ -163,9 +166,9 @@ are dropped (models, memos) or spilled (device logs) — and because
 every evictable is a pure function of the event table, *any* eviction
 schedule yields bitwise-identical answers, batch and streaming alike
 (``tests/integration/test_memory_equivalence.py``,
-``tests/property/test_prop_memory.py`` prove this; the zero-copy
-memory claim is measured in ``benchmarks/test_bench_shared_memory.py``,
-archived as ``results/BENCH_shared_memory.json``)::
+``tests/property/test_prop_memory.py`` prove this; the one-copy
+claim for attached shards is asserted by
+``tests/integration/test_shared_memory_cluster.py``)::
 
     from repro import Locater, LocaterConfig
 

@@ -24,24 +24,29 @@ Three orthogonal pieces, each swappable:
 * **Executor** (:mod:`repro.cluster.executor`) — where shards live and
   how calls reach them.  :class:`SerialShardExecutor` and
   :class:`ThreadShardExecutor` keep shards in-process (sharing the
-  cluster's event table object); :class:`ProcessShardExecutor` forks
-  one actor worker per shard with a copy-on-write table replica and
-  speaks pickled (method, args) over a pipe.  All three return results
-  in shard order, so executor choice never changes an answer.
+  cluster's event table object); :class:`ProcessShardExecutor` starts
+  one actor worker per shard (``fork`` or ``spawn``) that *attaches*
+  the table's shared-memory segments by name and speaks pickled
+  (method, args) over a pipe.  All three return results in shard
+  order, so executor choice never changes an answer.
 * **Shard** (:mod:`repro.cluster.shard`) — one full ``Locater`` plus,
-  for process workers, its own ingestion engine and streaming session.
+  for process workers, a streaming session over the attached table.
   Shards are created by the executor from a factory at
   :meth:`ShardedLocater <repro.cluster.sharded.ShardedLocater>`
   construction and torn down by ``close()`` (context manager
   supported); worker sessions unsubscribe from their engines on close,
   so no callback leaks outlive the cluster.
 
-Data placement is the key decision: the event log is **replicated** to
-every shard, serving state is **partitioned**.  Cleaning couples
-devices through co-location — neighbor discovery, device-affinity
-mining and the population aggregate read the whole log — so partial
-logs would change answers; replication keeps the load-bearing
-invariant instead:
+Data placement is the key decision: every shard reads the **whole**
+event log, serving state is **partitioned**.  Cleaning couples devices
+through co-location — neighbor discovery, device-affinity mining and
+the population aggregate read the whole log — so partial logs would
+change answers.  The log still exists once: in-process shards share
+the caller's table object, and process shards map its shared-memory
+segments (``shared_memory=True``, or a table already on a
+:class:`~repro.events.columns.SharedMemoryColumnStore`; the caller
+closes the table after the cluster).  That keeps the load-bearing
+invariant:
 
     With any deterministic router, any shard count and any executor,
     cluster answers are bitwise identical to a lone ``Locater`` over
@@ -80,8 +85,9 @@ engine, the router observes the stamped batch (binding first-seen
 devices and reporting re-keyed ones for migration), each shard's slice
 of the dirty stream is persisted under its storage namespace, and
 shards invalidate surgically via the existing
-:meth:`Locater.on_ingest` path (replica shards merge the stamped batch
-themselves, reproducing identical ids).
+:meth:`Locater.on_ingest` path (process shards receive the new segment
+names plus the owner's report and invalidate from it — no event data
+crosses the pipe).
 
 Typical use::
 
@@ -125,7 +131,7 @@ worker crashes instead of surfacing them:
   failures under the policy's restart budget with deterministic
   backoff, resurrects the shard from its factory, and restores the §5
   cache from the last post-operation checkpoint.  Shard state outside
-  the cache is a pure function of the replicated log, so a resurrected
+  the cache is a pure function of the shared log, so a resurrected
   shard answers **bitwise identically** to one that never died — cache
   contents and hit/miss counters included — as long as the crash fell
   between operations (the checkpoint granularity; a crash *inside* an
@@ -156,13 +162,16 @@ and degraded-mode availability.
 
 Typical use::
 
-    from repro import RecoveryPolicy, ShardedLocater
+    from repro import ProcessShardExecutor, RecoveryPolicy, ShardedLocater
 
-    cluster = ShardedLocater(building, metadata, table, shard_count=4,
-                             executor=ProcessShardExecutor(),
-                             recovery=RecoveryPolicy(max_restarts=2))
-    answers = cluster.locate_batch(queries)   # survives worker crashes
-    cluster.recovery_events                   # what happened, when
+    table = dataset.table.restrict(dataset.table.span())  # owned copy
+    with ShardedLocater(building, metadata, table, shard_count=4,
+                        executor=ProcessShardExecutor(),
+                        shared_memory=True,
+                        recovery=RecoveryPolicy(max_restarts=2)) as cluster:
+        answers = cluster.locate_batch(queries)  # survives worker crashes
+        cluster.recovery_events                  # what happened, when
+    table.close()                                # unlink the segments
 
 ``examples/campus_cluster.py`` walks a 3-building campus on a 4-shard
 cluster with streaming ingest; ``examples/cluster_caching.py`` shows

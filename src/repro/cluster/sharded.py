@@ -1,16 +1,18 @@
 """``ShardedLocater``: one query surface over N independent shards.
 
-The cluster replicates the event log to every shard and partitions
-*serving ownership* by a :class:`~repro.cluster.router.ShardRouter`:
-each device's queries, trained coarse models, cleaned-answer storage
-namespace and cache warm state live on exactly one shard.  Replication
-is not an implementation shortcut — it is what makes the cluster
-*correct*: cleaning couples devices through co-location (neighbor
-discovery, device-affinity mining and the population aggregate all read
-the whole log), so a shard serving from a partial log would change
-answers.  What scales out is everything downstream of the log: model
-training, gap-feature extraction, fine-grained inference, caching and
-answer storage — the dominant costs.
+Every shard reads the whole event log — in-process shards share the
+authoritative table object, process shards attach its shared-memory
+segments — while *serving ownership* is partitioned by a
+:class:`~repro.cluster.router.ShardRouter`: each device's queries,
+trained coarse models, cleaned-answer storage namespace and cache warm
+state live on exactly one shard.  The full log is not an
+implementation shortcut — it is what makes the cluster *correct*:
+cleaning couples devices through co-location (neighbor discovery,
+device-affinity mining and the population aggregate all read the whole
+log), so a shard serving from a partial log would change answers.
+What scales out is everything downstream of the log: model training,
+gap-feature extraction, fine-grained inference, caching and answer
+storage — the dominant costs.
 
 The serving contract is the repo's strongest invariant, extended to the
 cluster: with any deterministic router, any shard count and any
@@ -195,14 +197,13 @@ class ClusterBatchState:
 class _AttachedShardFactory:
     """Picklable shard factory for workers that *attach* the table.
 
-    Instead of closing over the live table (fork-only, one replica per
-    worker), it carries a :class:`~repro.events.table.TableDescriptor` —
-    segment names, registry order, generations — and each worker maps
-    the owner's shared-memory segments read-only.  Picklable and
-    self-contained, so it crosses a ``spawn`` boundary too; under
-    ``fork`` it still wins by never letting workers privatize column
-    pages.  The shard gets a streaming session whose state is advanced
-    by :meth:`Shard.apply_table_sync` fan-outs.
+    It carries a :class:`~repro.events.table.TableDescriptor` — segment
+    names, registry order, generations — and each worker maps the
+    owner's shared-memory segments read-only, so N workers cost one
+    copy of the log.  Picklable and self-contained, so it crosses a
+    ``spawn`` boundary as well as a ``fork``.  The shard gets a
+    streaming session whose state is advanced by
+    :meth:`Shard.apply_table_sync` fan-outs.
     """
 
     def __init__(self, building: Building, metadata: SpaceMetadata,
@@ -217,7 +218,7 @@ class _AttachedShardFactory:
         table = EventTable.attach(self.descriptor)
         locater = Locater(self.building, self.metadata, table,
                           config=self.config)
-        return Shard(shard_id, locater, engine=IngestionEngine(table))
+        return Shard(shard_id, locater)
 
 
 class ShardedLocater:
@@ -227,8 +228,10 @@ class ShardedLocater:
         building: Space model (a single building or a merged campus).
         metadata: Per-device preferred-room metadata.
         table: The authoritative event table.  In-process shards share
-            this object; process shards inherit a bitwise replica at
-            fork time.
+            this object; process shards attach its shared-memory
+            segments, so with a process executor it must live on a
+            :class:`~repro.events.columns.SharedMemoryColumnStore` (or
+            ``shared_memory=True`` must put it there).
         shard_count: Number of shards.
         router: Device → shard assignment (default
             :class:`~repro.cluster.router.HashRouter`).
@@ -243,14 +246,14 @@ class ShardedLocater:
             reach the caller's backend.
         shared_memory: Publish the table's hot columns as named
             shared-memory segments (migrating the table's column store
-            in place if needed).  Process shard workers then *attach*
-            the one physical copy of the log by segment name instead of
-            holding a private replica — N shards cost ~1× the table —
-            and ingests fan out as cheap segment-name syncs instead of
-            per-worker re-merges.  Required for
-            ``ProcessShardExecutor(start_method='spawn')``.  The caller
-            still owns the table: close it (``table.close()``) after
-            the cluster to unlink the segments.
+            in place if needed).  Process shard workers *attach* the one
+            physical copy of the log by segment name — N shards cost ~1×
+            the table — and ingests fan out as segment-name syncs.
+            Required for any process executor unless the table already
+            lives on a shared-memory store; the cluster never migrates
+            the table on its own.  The caller still owns the table:
+            close it (``table.close()``) after the cluster to unlink
+            the segments, and migrate only a table no one else shares.
         recovery: Opt into fault tolerance: a
             :class:`~repro.cluster.supervision.RecoveryPolicy` puts a
             :class:`~repro.cluster.supervision.ShardSupervisor` between
@@ -301,40 +304,17 @@ class ShardedLocater:
             storage.namespace(f"shard{shard_id}") if storage is not None
             else None
             for shard_id in range(shard_count)]
+        if not self._executor.in_process and not shared_memory and \
+                not table.store.is_shared:
+            raise ConfigurationError(
+                "process shards attach the event table by segment name; "
+                "construct the cluster with shared_memory=True (or a "
+                "table on a SharedMemoryColumnStore), and close the "
+                "table after the cluster")
         self._tap = _EventTap(storage)
         self._engine = IngestionEngine(table, storage=self._tap)
-        in_process = self._executor.in_process
-        views = self._views if in_process else [None] * shard_count
         if shared_memory and not table.store.is_shared:
             table.migrate_store(SharedMemoryColumnStore())
-        # Attach mode: process shards map the owner's segments by name
-        # (one physical copy) instead of inheriting a fork replica.
-        self._attached_shards = (not in_process) and table.store.is_shared
-        if getattr(self._executor, "start_method", None) == "spawn" and \
-                not self._attached_shards:
-            raise ConfigurationError(
-                "spawned shard workers cannot inherit the event table; "
-                "construct the cluster with shared_memory=True (or a "
-                "table on a SharedMemoryColumnStore) so workers attach "
-                "by segment name")
-
-        if self._attached_shards:
-            factory = _AttachedShardFactory(
-                building, metadata, config, table.describe())
-        else:
-            def factory(shard_id: int) -> Shard:
-                # In-process: every shard's Locater reads the shared
-                # table.  In a forked worker this closure runs
-                # post-fork, so ``table`` is the worker's private
-                # copy-on-write replica and the shard gets its own
-                # engine + streaming session.  (Closes over plain
-                # locals only — a worker must not drag a copy of the
-                # cluster object, executor pipes included, across the
-                # fork.)
-                locater = Locater(building, metadata, table, config=config,
-                                  storage=views[shard_id])
-                engine = None if in_process else IngestionEngine(table)
-                return Shard(shard_id, locater, engine=engine)
 
         if recovery is not None and recovery.call_timeout is not None:
             # Reach through a wrapper (e.g. FaultInjectingExecutor) so
@@ -342,20 +322,14 @@ class ShardedLocater:
             target = getattr(self._executor, "inner", self._executor)
             if isinstance(target, ProcessShardExecutor):
                 target.call_timeout = recovery.call_timeout
-        self._executor.start(factory, shard_count)
+        self._executor.start(self._shard_factory(), shard_count)
         self._recovery = recovery
         self._fallback: "Locater | None" = None
         if recovery is not None:
             caching_on = config.use_caching if config is not None else True
             self._supervisor: "ShardSupervisor | None" = ShardSupervisor(
                 self._executor, policy=recovery,
-                # Attached workers must map the table's *current*
-                # segments at resurrection time; the start-time
-                # descriptor goes stale at the first ingest.  Fork /
-                # in-process factories re-derive current state on their
-                # own (a re-fork inherits the merged table).
-                factory_provider=self._shard_factory
-                if self._attached_shards else None,
+                factory_provider=self._shard_factory,
                 checkpoints=caching_on)
         else:
             self._supervisor = None
@@ -369,10 +343,27 @@ class ShardedLocater:
         self._poisoned = False
 
     def _shard_factory(self) -> ShardFactory:
-        """A fresh attached-shard factory over the current table state."""
-        return _AttachedShardFactory(
-            self._building, self._metadata, self._config,
-            self._table.describe())
+        """A shard factory over the table's *current* state.
+
+        Called at start and again at every supervised restart: an
+        attached worker must map the table's current segments, and the
+        start-time descriptor goes stale at the first ingest.
+        """
+        if not self._executor.in_process:
+            return _AttachedShardFactory(self._building, self._metadata,
+                                         self._config, self._table.describe())
+        # Plain locals, not ``self``: the executor keeps its factory, and
+        # a closure over the cluster would make a reference cycle.
+        building, metadata, table = \
+            self._building, self._metadata, self._table
+        config, views = self._config, self._views
+
+        def shared_table_shard(shard_id: int) -> Shard:
+            # Every in-process shard's Locater reads the one table.
+            return Shard(shard_id, Locater(
+                building, metadata, table, config=config,
+                storage=views[shard_id]))
+        return shared_table_shard
 
     # ------------------------------------------------------------------
     @property
@@ -642,8 +633,7 @@ class ShardedLocater:
         shard's slice of the dirty stream, and finally reaches the
         shards: in-process shards invalidate against the shared table
         (live batch states handed out by :meth:`make_batch_state` are
-        pruned along the way); replica shards merge the stamped batch
-        themselves; attached shards receive a
+        pruned along the way); attached process shards receive a
         :class:`~repro.events.table.TableSync` — the new segment names
         and counters, no event data — and invalidate off the owner's
         report.
@@ -667,7 +657,7 @@ class ShardedLocater:
                     "on_ingest", [(report,)] * self._shard_count)
                 self._prune_states(report,
                                    self._merge_summaries(summaries))
-            elif self._attached_shards:
+            else:
                 # One physical merge just happened (owner-side); ship
                 # the new segment names, not the events.  Workers are
                 # idle between calls (synchronous dispatch), so no read
@@ -676,9 +666,6 @@ class ShardedLocater:
                 self._call_all(
                     "apply_table_sync",
                     [(payload, report)] * self._shard_count)
-            else:
-                self._call_all("ingest_events",
-                               [(stamped,)] * self._shard_count)
         self._checkpoint()
         return ClusterIngestReport(
             total=report,
@@ -727,7 +714,7 @@ class ShardedLocater:
         * **Stored answers**: cleared from every namespace but the new
           owner's, so a re-query can never serve a stale namespaced
           answer (models and memos need no such care — they are pure
-          functions of the replicated log).
+          functions of the shared log).
         * **Cache edges**: every recorded affinity edge incident to a
           moved device is extracted from whichever shard holds it and
           re-inserted on the shard owning the edge's lower endpoint,
@@ -843,30 +830,18 @@ class ShardedLocater:
     def table_memory(self) -> dict:
         """Event-table memory accounting: parent plus every shard.
 
-        The cluster-level truth the shared-vs-replicated benchmark
-        archives: logical column bytes per process (exact, from store
-        accounting) with the backend kind, plus each process's VmRSS as
-        an auxiliary signal.  ``total_column_bytes`` counts private
-        copies per shard but any shared segments once — the "how much
-        log does this deployment hold" number.
+        Every shard reads the parent's table — the same object
+        in-process, its shared segments from a worker — so
+        ``total_column_bytes`` is the parent's column bytes: one copy
+        of the log, whatever the shard count.  Quarantined shards hold
+        no live table and report None.
         """
         self._check_open()
         parent = self._table.memory_stats()
-        shards = self._call_all("table_memory")
-        private = 0
-        for stats in shards:
-            if stats is None:  # quarantined shard: holds no live table
-                continue
-            if stats["kind"] == "shared-attached":
-                continue  # maps the parent's segments: counted once below
-            if self._executor.in_process:
-                continue  # same table object as the parent's
-            private += stats["column_bytes"]
         return {
             "parent": parent,
-            "shards": shards,
-            "attached": self._attached_shards,
-            "total_column_bytes": parent["column_bytes"] + private,
+            "shards": self._call_all("table_memory"),
+            "total_column_bytes": parent["column_bytes"],
         }
 
     def close(self) -> None:
@@ -891,7 +866,7 @@ class ShardedLocater:
         if self._poisoned:
             raise ClusterError(
                 "cluster poisoned: an ingest fan-out failed part-way, so "
-                "some shards may hold stale models or replicas; rebuild "
+                "some shards may hold stale models or table views; rebuild "
                 "the cluster from the authoritative table (retrying the "
                 "ingest would double-merge the batch)")
 
@@ -899,7 +874,7 @@ class ShardedLocater:
     def _poison_on_failure(self):
         """Fail-stop guard around a shard fan-out.
 
-        If invalidation (or a replica merge) reaches some shards but not
+        If invalidation (or a table sync) reaches some shards but not
         others, the survivors silently diverge from the authoritative
         table — worse than an outage under this layer's bitwise
         contract.  Any fan-out failure therefore poisons the cluster:

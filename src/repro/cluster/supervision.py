@@ -9,10 +9,10 @@ partial results.  This module *reacts*: the
 transient shard deaths into deterministic resurrections.
 
 Why recovery can be exact here: every shard's serving state is a pure
-function of the replicated event log (the bitwise-equivalence invariant
+function of the shared event log (the bitwise-equivalence invariant
 PRs 1–8 enforce), except the §5 cache, whose contents depend on query
-*history*.  So resurrection is: rebuild the shard from the factory (a
-re-fork inherits the current merged table; an attached worker maps the
+*history*.  So resurrection is: rebuild the shard from the factory (an
+in-process shard reads the merged table; an attached worker maps the
 owner's current segments; models retrain lazily on the next batch
 pre-pass), restore the cache from the supervisor's last checkpoint, and
 re-dispatch *only the failed shard's slice* of the interrupted call —
@@ -58,12 +58,11 @@ TRANSIENT_ERRORS = (ShardUnavailableError, ShardTimeoutError)
 
 #: Methods that must *not* be re-dispatched to a freshly resurrected
 #: shard: its factory already rebuilt it from the merged authoritative
-#: table (re-fork inherits it; an attached worker maps the current
-#: segments), so replaying the ingest-time invalidation would be
-#: redundant at best and a double-merge at worst.  The cluster ignores
+#: table (an attached worker maps the current segments), so replaying
+#: the ingest-time invalidation or table sync would be redundant at
+#: best and a stale-generation sync at worst.  The cluster ignores
 #: these fan-outs' per-shard results, so the skipped slot is safe.
-SKIP_AFTER_RESTART = frozenset(
-    {"on_ingest", "ingest_events", "apply_table_sync"})
+SKIP_AFTER_RESTART = frozenset({"on_ingest", "apply_table_sync"})
 
 
 @dataclass(frozen=True, slots=True)
@@ -154,7 +153,7 @@ class ShardSupervisor:
         policy: The :class:`RecoveryPolicy` (default: defaults).
         factory_provider: Called at each restart for a *fresh* shard
             factory (None: the executor reuses the factory it was
-            started with).  The attached-table cluster needs this — a
+            started with).  A process-shard cluster needs this — a
             resurrection must map the table's *current* segments, not
             the ones described at start time.
         checkpoints: Enable cache checkpointing (the cluster turns this

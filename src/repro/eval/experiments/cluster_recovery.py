@@ -37,6 +37,7 @@ from repro.cluster import (
     ThreadShardExecutor,
 )
 from repro.errors import ConfigurationError, ReproError
+from repro.eval.experiments.common import owned_cluster
 from repro.eval.queries import generated_query_set
 from repro.eval.reporting import format_table
 from repro.sim.scenarios import isolated_campus_dataset
@@ -159,12 +160,11 @@ def run(buildings: int = 3, population: int = 24, days: int = 3,
               call_index=2 * index + 1)
         for index in range(kills)])
     injector = FaultInjectingExecutor(_EXECUTORS[executor](), plan)
-    with ShardedLocater(dataset.building, dataset.metadata,
-                        dataset.table, shard_count=shards,
-                        router=router(), executor=injector,
-                        recovery=RecoveryPolicy(max_restarts=kills,
-                                                backoff=(0.0,))
-                        ) as cluster:
+    with owned_cluster(dataset, injector, shard_count=shards,
+                       router=router(),
+                       recovery=RecoveryPolicy(max_restarts=kills,
+                                               backoff=(0.0,))
+                       ) as cluster:
         start = time.perf_counter()
         got = [cluster.locate_batch(chunk) for chunk in chunks]
         chaos_seconds = time.perf_counter() - start

@@ -16,10 +16,11 @@ Executors tell three different stories on purpose:
 * ``serial`` isolates pure partition-and-merge overhead;
 * ``thread`` is GIL-bound on this pure-Python pipeline, so it measures
   dispatch overhead more than parallelism;
-* ``process`` forks one worker per shard and scales with the machine's
-  cores — on a single-core host it degrades to serial-plus-pickling,
-  which the result records honestly (``cpu_count`` is part of the
-  rendered output).
+* ``process`` forks one worker per shard, attached to a shared-memory
+  copy of the table, and scales with the machine's cores — on a
+  single-core host it degrades to serial-plus-pickling, which the
+  result records honestly (``cpu_count`` is part of the rendered
+  output).
 """
 
 from __future__ import annotations
@@ -34,11 +35,10 @@ from repro.cluster import (
     HashRouter,
     ProcessShardExecutor,
     SerialShardExecutor,
-    ShardedLocater,
     ThreadShardExecutor,
 )
 from repro.errors import ReproError
-from repro.eval.experiments.common import campus_dataset
+from repro.eval.experiments.common import campus_dataset, owned_cluster
 from repro.eval.queries import generated_query_set
 from repro.eval.reporting import format_table
 from repro.space.blueprints import campus_ap_buildings
@@ -139,10 +139,9 @@ def run(days: int = 6, population: int = 48, buildings: int = 3,
 
     def measure(shards: int, executor_name: str, executor_factory,
                 router, router_name: str) -> None:
-        with ShardedLocater(dataset.building, dataset.metadata,
-                            dataset.table, shard_count=shards,
-                            router=router, executor=executor_factory(),
-                            config=config) as cluster:
+        with owned_cluster(dataset, executor_factory(),
+                           shard_count=shards, router=router,
+                           config=config) as cluster:
             start = time.perf_counter()
             answers = cluster.locate_batch(batch)
             seconds = time.perf_counter() - start

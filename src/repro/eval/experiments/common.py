@@ -2,13 +2,19 @@
 
 Datasets are memoized per parameter tuple so an experiment sweep (or a
 benchmark session touching several experiments) simulates each world only
-once.
+once.  Clusters are built over a private copy of the dataset's table
+(:func:`owned_cluster`), so no experiment ever migrates a memoized
+table into shared memory.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+from contextlib import contextmanager
 from functools import lru_cache
 
+from repro.cluster.executor import ShardExecutor
+from repro.cluster.sharded import ShardedLocater
 from repro.sim.dataset import Dataset
 from repro.sim.scenarios import ScenarioSpec
 from repro.sim.simulator import Simulator
@@ -44,3 +50,24 @@ def clear_caches() -> None:
     dbh_dataset.cache_clear()
     scenario_dataset.cache_clear()
     campus_dataset.cache_clear()
+
+
+@contextmanager
+def owned_cluster(dataset: Dataset, executor: ShardExecutor,
+                  **kwargs) -> Iterator[ShardedLocater]:
+    """A ``ShardedLocater`` over a private copy of ``dataset.table``.
+
+    Process executors attach the copy's shared-memory segments, and
+    the copy is closed after the cluster, so no segment outlives the
+    run.  ``kwargs`` go to :class:`ShardedLocater` (``shard_count``,
+    ``router``, ``config``, ``recovery``...).
+    """
+    table = dataset.table.restrict(dataset.table.span())
+    try:
+        with ShardedLocater(dataset.building, dataset.metadata, table,
+                            executor=executor,
+                            shared_memory=not executor.in_process,
+                            **kwargs) as cluster:
+            yield cluster
+    finally:
+        table.close()

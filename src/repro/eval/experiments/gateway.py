@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import asyncio
 import time
+from contextlib import AbstractContextManager
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,11 +42,10 @@ import numpy as np
 from repro.cluster.executor import ProcessShardExecutor
 from repro.cluster.sharded import ShardedLocater
 from repro.errors import GatewayOverloadedError, ReproError
-from repro.eval.experiments.common import dbh_dataset
+from repro.eval.experiments.common import dbh_dataset, owned_cluster
 from repro.eval.reporting import format_table
 from repro.serve.gateway import AsyncGateway, IngestRecord, WindowRecord
 from repro.sim.scenarios import closed_loop_clients, open_loop_arrivals
-from repro.system.streaming import MAX_SNAPSHOTS
 
 
 @dataclass(slots=True)
@@ -140,19 +140,20 @@ WINDOW_SETTINGS = (
 )
 
 
-def _make_cluster(dataset, shard_count: int) -> ShardedLocater:
-    """A fresh caching-on process-shard cluster over the dataset's table.
+def _make_cluster(dataset, shard_count: int
+                  ) -> "AbstractContextManager[ShardedLocater]":
+    """A fresh caching-on process-shard cluster over a copy of the table.
 
     Process shards are the wiring where window dispatch has a real
     price (pipe + pickle per call) and where warm state lives
-    worker-side: each replica shard runs a persistent streaming session
-    whose memos survive across windows.  The table is never ingested
-    into during the sweep, so every run (and every replay) starts from
-    the identical authoritative state.
+    worker-side: each attached shard runs a persistent streaming
+    session whose memos survive across windows.  Every run (and every
+    replay) gets its own copy of the dataset's table, so each starts
+    from the identical authoritative state and unlinks its segments on
+    exit.
     """
-    return ShardedLocater(
-        dataset.building, dataset.metadata, dataset.table,
-        shard_count=shard_count, executor=ProcessShardExecutor())
+    return owned_cluster(dataset, ProcessShardExecutor(),
+                         shard_count=shard_count)
 
 
 async def _closed_loop(gateway: AsyncGateway,
@@ -177,21 +178,18 @@ def _replay_identical(dataset, shard_count: int, journal,
 
     Builds a second, identical cluster and replays the journal in
     serialization order: every window as one plain ``locate_batch``
-    call, every ingest tick through ``cluster.ingest``.  In-process
-    replicas thread a persistent cluster batch state through the calls;
-    process replicas keep the equivalent state worker-side (their
-    streaming sessions substitute it when none is passed).  Bitwise-
-    compares every answer and the summed cache counters.
+    call, every ingest tick through ``cluster.ingest``.  Process shards
+    keep the gateway's persistent state worker-side (their streaming
+    sessions substitute it when no state is passed), so the replay
+    threads none.  Bitwise-compares every answer and the summed cache
+    counters.
     """
     with _make_cluster(dataset, shard_count) as cluster:
-        state = cluster.make_batch_state(max_snapshots=MAX_SNAPSHOTS) \
-            if cluster.executor.in_process else None
         for record in journal:
             if isinstance(record, IngestRecord):
                 cluster.ingest(record.events)
             elif isinstance(record, WindowRecord):
-                expected = cluster.locate_batch(list(record.queries),
-                                                state=state)
+                expected = cluster.locate_batch(list(record.queries))
                 if list(record.answers) != expected:
                     return False
         return cluster.cache_stats().total == expected_stats.total

@@ -2,7 +2,7 @@
 
 Every benchmark writes a machine-readable ``results/BENCH_<name>.json``
 artifact.  This tool tracks a curated set of **ratio-like** metrics out
-of those artifacts — speedups, availability, memory ratios — chosen
+of those artifacts — speedups, availability, overhead ratios — chosen
 because they compare two measurements taken on the *same* machine in
 the *same* run, so they are stable across hardware in a way raw
 wall-clock numbers are not.
@@ -18,8 +18,9 @@ the PR, so the history *is* the per-PR performance ledger.  ``check``
 re-extracts the metrics from the current artifacts and compares each
 against the last recorded entry: any metric more than ``tolerance``
 (default 20%) worse in its bad direction fails the gate (exit 1).
-Benchmarks without a current artifact or without history are skipped —
-the gate never blocks on a benchmark that did not run.
+So does a tracked benchmark with no artifact or no history entry: a
+benchmark that stopped producing its artifact must not drop out of the
+ledger silently.
 """
 
 from __future__ import annotations
@@ -65,6 +66,12 @@ def _gateway_speedup(payload: dict) -> float:
     return best / baseline
 
 
+def _streaming_speedup(payload: dict) -> float:
+    ticks = payload["ticks"]
+    return sum(tick["rebuild_seconds"] for tick in ticks) / \
+        sum(tick["incremental_seconds"] for tick in ticks)
+
+
 #: The manifest: benchmark name -> tracked metrics.  Adding a benchmark
 #: here is all it takes to put it under the regression gate.
 TRACKED: "dict[str, tuple[TrackedMetric, ...]]" = {
@@ -72,18 +79,11 @@ TRACKED: "dict[str, tuple[TrackedMetric, ...]]" = {
         TrackedMetric("coalescing_speedup", True, _gateway_speedup),
     ),
     "streaming": (
-        TrackedMetric("ingest_speedup", True,
-                      lambda d: d["rebuild_seconds"] /
-                      d["incremental_seconds"]),
+        TrackedMetric("ingest_speedup", True, _streaming_speedup),
     ),
     "fine_core": (
         TrackedMetric("speedup_vs_dict", True,
                       lambda d: d["speedup_vs_dict"]),
-    ),
-    "shared_memory": (
-        TrackedMetric("memory_ratio_replicated_over_shared", True,
-                      lambda d:
-                      d["memory_ratio_replicated_over_shared"]),
     ),
     "cluster_recovery": (
         TrackedMetric("availability", True,
@@ -166,14 +166,32 @@ def record(results_dir: Path = DEFAULT_RESULTS,
     return recorded
 
 
+def missing(results_dir: Path = DEFAULT_RESULTS,
+            history_dir: Path = DEFAULT_HISTORY) -> list[str]:
+    """Tracked benchmarks the gate cannot compare, one line each.
+
+    A benchmark is missing when it has no current artifact or no
+    recorded history entry; the ``check`` command fails on either.
+    """
+    gaps: list[str] = []
+    for bench in sorted(TRACKED):
+        if not (results_dir / f"BENCH_{bench}.json").exists():
+            gaps.append(f"{bench}: no artifact BENCH_{bench}.json "
+                        f"in {results_dir}")
+        elif last_entry(history_dir, bench) is None:
+            gaps.append(f"{bench}: no history entry in {history_dir}")
+    return gaps
+
+
 def check(results_dir: Path = DEFAULT_RESULTS,
           history_dir: Path = DEFAULT_HISTORY,
           tolerance: float = DEFAULT_TOLERANCE) -> list[Regression]:
     """Compare current artifacts against the last recorded entries.
 
-    Returns the regressions (empty = gate passes).  A benchmark is
-    checked only when both a current artifact and a history entry
-    exist.
+    Returns the regressions.  A benchmark is compared only when both
+    a current artifact and a history entry exist; :func:`missing`
+    reports the others, and the gate passes only when both lists are
+    empty.
     """
     regressions: list[Regression] = []
     for bench in sorted(TRACKED):
@@ -227,13 +245,17 @@ def main(argv: "list[str] | None" = None) -> int:
             print("perf-history: no benchmark artifacts found")
         return 0
 
+    gaps = missing(args.results, args.history)
     regressions = check(args.results, args.history,
                         tolerance=args.tolerance)
-    if regressions:
-        for regression in regressions:
-            print(regression.render())
+    for gap in gaps:
+        print(f"missing {gap}")
+    for regression in regressions:
+        print(regression.render())
+    if gaps or regressions:
         print(f"perf-history: {len(regressions)} regression(s) past "
-              f"{args.tolerance:.0%}", file=sys.stderr)
+              f"{args.tolerance:.0%}, {len(gaps)} tracked benchmark(s) "
+              f"missing", file=sys.stderr)
         return 1
     print("perf-history: no regressions")
     return 0

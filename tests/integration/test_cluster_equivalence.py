@@ -20,6 +20,7 @@ Mirrors ``test_batch_equivalence.py`` (batch workloads) and
 
 from __future__ import annotations
 
+import contextlib
 import multiprocessing
 from collections import Counter
 
@@ -58,10 +59,33 @@ from repro.system.streaming import StreamingSession
 EXECUTORS = {
     "serial": SerialShardExecutor,
     "thread": ThreadShardExecutor,
-    "process": ProcessShardExecutor,
 }
 
 FORK_AVAILABLE = "fork" in multiprocessing.get_all_start_methods()
+
+
+@contextlib.contextmanager
+def _cluster(dataset, table, executor, **kwargs):
+    """A cluster over ``table`` on the named executor.
+
+    Process shards attach a private shared-memory copy of ``table``
+    (fixture tables are shared and stay on the heap); the copy is
+    closed after the cluster, which unlinks its segments.
+    """
+    if executor != "process":
+        with ShardedLocater(dataset.building, dataset.metadata, table,
+                            executor=EXECUTORS[executor](),
+                            **kwargs) as cluster:
+            yield cluster
+        return
+    owned = table.restrict(table.span())
+    try:
+        with ShardedLocater(dataset.building, dataset.metadata, owned,
+                            executor=ProcessShardExecutor(),
+                            shared_memory=True, **kwargs) as cluster:
+            yield cluster
+    finally:
+        owned.close()
 
 
 @pytest.fixture(scope="module")
@@ -104,10 +128,8 @@ class TestBatchEquivalence:
         dataset, queries = world
         config = LocaterConfig(use_caching=False)
         expected = _lone_answers(dataset, queries, config)
-        with ShardedLocater(dataset.building, dataset.metadata,
-                            dataset.table, shard_count=shards,
-                            executor=EXECUTORS[executor](),
-                            config=config) as cluster:
+        with _cluster(dataset, dataset.table, executor,
+                      shard_count=shards, config=config) as cluster:
             # Full LocationAnswer equality: coarse route, room, the
             # entire fine posterior and edge weights, float for float.
             assert cluster.locate_batch(queries) == expected
@@ -233,11 +255,8 @@ class TestStreamingEquivalence:
                                                  shards, executor):
         dataset, workload = streaming_world
         config = LocaterConfig(use_caching=False)
-        with ShardedLocater(dataset.building, dataset.metadata,
-                            self._warm_table(workload),
-                            shard_count=shards,
-                            executor=EXECUTORS[executor](),
-                            config=config) as cluster:
+        with _cluster(dataset, self._warm_table(workload), executor,
+                      shard_count=shards, config=config) as cluster:
             for batch in workload.batches:
                 report = cluster.ingest(batch.ingest)
                 assert report.count == len(batch.ingest)
@@ -316,22 +335,6 @@ class TestStreamingEquivalence:
                         answer.location_label
         backend.close()
 
-    def test_replica_tables_track_the_authoritative_one(
-            self, streaming_world):
-        dataset, workload = streaming_world
-        config = LocaterConfig(use_caching=False)
-        with ShardedLocater(dataset.building, dataset.metadata,
-                            self._warm_table(workload), shard_count=2,
-                            executor=ProcessShardExecutor(),
-                            config=config) as cluster:
-            for batch in workload.batches:
-                cluster.ingest(batch.ingest)
-            stats = cluster.shard_stats()
-            for shard in stats:
-                assert shard["events"] == len(cluster.table)
-                assert shard["devices"] == cluster.table.device_count
-                assert shard["ingests"] == len(workload.batches)
-
 
 class TestCachingEquivalence:
     """Caching ON: component routing keeps per-shard caches exact.
@@ -351,10 +354,8 @@ class TestCachingEquivalence:
         expected = lone.locate_batch(queries)
         router = ComponentAffinityRouter.from_table(dataset.table,
                                                     dataset.building)
-        with ShardedLocater(dataset.building, dataset.metadata,
-                            dataset.table, shard_count=shards,
-                            router=router,
-                            executor=EXECUTORS[executor]()) as cluster:
+        with _cluster(dataset, dataset.table, executor,
+                      shard_count=shards, router=router) as cluster:
             assert cluster.locate_batch(queries) == expected
             # The shards' caches, summed, saw exactly the lone system's
             # traffic: same hits, misses, edges and nodes.
@@ -401,10 +402,8 @@ class TestCachingEquivalence:
         cluster_table = self._warm_table(workload)
         router = ComponentAffinityRouter.from_table(cluster_table,
                                                     dataset.building)
-        with ShardedLocater(dataset.building, dataset.metadata,
-                            cluster_table, shard_count=shards,
-                            router=router,
-                            executor=EXECUTORS[executor]()) as cluster:
+        with _cluster(dataset, cluster_table, executor,
+                      shard_count=shards, router=router) as cluster:
             for batch in workload.batches:
                 lone.on_ingest(lone_engine.ingest(batch.ingest))
                 cluster.ingest(batch.ingest)
@@ -518,65 +517,37 @@ class TestChaosEquivalence:
                          for query in queries)
         return owners.most_common(1)[0][0]
 
-    @pytest.mark.skipif(not FORK_AVAILABLE, reason="fork unavailable")
-    def test_sigkill_mid_batch_fork_replica_bitwise(self, isolated_world):
-        # Caching ON: the recovered shard must restore cache contents
-        # and counters from the supervisor's checkpoint, not just
-        # re-serve its slice correctly.
-        dataset, queries = isolated_world
-        halves = self._halves(queries)
-        with ShardedLocater(dataset.building, dataset.metadata,
-                            dataset.table, shard_count=4,
-                            router=ComponentAffinityRouter.from_table(
-                                dataset.table, dataset.building)) as control:
-            expected = [control.locate_batch(half) for half in halves]
-            expected_totals = control.cache_stats().total
-        probe = ComponentAffinityRouter.from_table(dataset.table,
-                                                   dataset.building)
-        victim = self._busiest_shard(probe, queries, 4)
-        plan = FaultPlan([Fault(shard_id=victim, kind="kill",
-                                method="locate_batch", call_index=1)])
-        executor = FaultInjectingExecutor(ProcessShardExecutor(), plan)
-        with ShardedLocater(dataset.building, dataset.metadata,
-                            dataset.table, shard_count=4,
-                            router=ComponentAffinityRouter.from_table(
-                                dataset.table, dataset.building),
-                            executor=executor,
-                            recovery=RecoveryPolicy(backoff=(0.0,))
-                            ) as cluster:
-            assert [cluster.locate_batch(half)
-                    for half in halves] == expected
-            assert cluster.cache_stats().total == expected_totals
-            assert plan.exhausted
-            [episode] = cluster.recovery_events
-            assert episode.shard_id == victim
-            assert episode.outcome == "recovered"
-            assert "SIGKILL" in episode.error
-            assert cluster.quarantined == frozenset()
-
-    def test_sigkill_mid_batch_spawn_attached_bitwise(self, isolated_world):
-        # Spawned workers attach the owner's shared-memory segments;
-        # the resurrected worker must map the table's *current*
-        # segments (factory_provider), then restore its checkpoint.
+    @pytest.mark.parametrize("start_method, shards", [
+        pytest.param("fork", 4, marks=pytest.mark.skipif(
+            not FORK_AVAILABLE, reason="fork unavailable")),
+        # Spawned workers import the world from scratch: keep it small.
+        ("spawn", 2),
+    ])
+    def test_sigkill_mid_batch_attached_bitwise(self, isolated_world,
+                                                start_method, shards):
+        # Caching ON: the recovered shard must map the table's current
+        # segments (factory_provider), then restore cache contents and
+        # counters from the supervisor's checkpoint, not just re-serve
+        # its slice correctly.
         dataset, queries = isolated_world
         halves = self._halves(queries)
         control_table = dataset.table.restrict(dataset.table.span())
         with ShardedLocater(dataset.building, dataset.metadata,
-                            control_table, shard_count=2,
+                            control_table, shard_count=shards,
                             router=ComponentAffinityRouter.from_table(
                                 control_table, dataset.building)) as control:
             expected = [control.locate_batch(half) for half in halves]
             expected_totals = control.cache_stats().total
         table = dataset.table.restrict(dataset.table.span())
         probe = ComponentAffinityRouter.from_table(table, dataset.building)
-        victim = self._busiest_shard(probe, queries, 2)
+        victim = self._busiest_shard(probe, queries, shards)
         plan = FaultPlan([Fault(shard_id=victim, kind="kill",
                                 method="locate_batch", call_index=1)])
         executor = FaultInjectingExecutor(
-            ProcessShardExecutor(start_method="spawn"), plan)
+            ProcessShardExecutor(start_method=start_method), plan)
         try:
             with ShardedLocater(dataset.building, dataset.metadata,
-                                table, shard_count=2,
+                                table, shard_count=shards,
                                 router=ComponentAffinityRouter.from_table(
                                     table, dataset.building),
                                 executor=executor, shared_memory=True,
@@ -589,14 +560,16 @@ class TestChaosEquivalence:
                 [episode] = cluster.recovery_events
                 assert episode.shard_id == victim
                 assert episode.outcome == "recovered"
+                assert "SIGKILL" in episode.error
+                assert cluster.quarantined == frozenset()
         finally:
             table.close()  # unlink the shared segments (caller-owned)
 
     @pytest.mark.skipif(not FORK_AVAILABLE, reason="fork unavailable")
-    def test_sigkill_mid_stream_fork_replica_bitwise(self, small_dataset):
+    def test_sigkill_mid_stream_fork_attached_bitwise(self, small_dataset):
         # Streaming: ingests interleave with the kill, so the re-forked
-        # replacement must inherit the *merged* table, not the one the
-        # cluster started with.
+        # replacement must attach the *merged* table's segments, not
+        # the ones the cluster started with.
         dataset = small_dataset
         workload = streaming_day_workload(dataset, batches=4,
                                           queries_per_burst=6, seed=3)
@@ -624,22 +597,25 @@ class TestChaosEquivalence:
         plan = FaultPlan([Fault(shard_id=victim, kind="kill",
                                 method="locate_batch", call_index=2)])
         executor = FaultInjectingExecutor(ProcessShardExecutor(), plan)
-        with ShardedLocater(dataset.building, dataset.metadata,
-                            chaos_table, shard_count=3,
-                            router=ComponentAffinityRouter.from_table(
-                                chaos_table, dataset.building),
-                            executor=executor,
-                            recovery=RecoveryPolicy(backoff=(0.0,))
-                            ) as cluster:
-            got = []
-            for batch in workload.batches:
-                cluster.ingest(batch.ingest)
-                got.append(cluster.locate_batch(batch.queries))
-            assert got == expected
-            assert cluster.cache_stats().total == expected_totals
-            assert plan.exhausted
-            assert [episode.outcome
-                    for episode in cluster.recovery_events] == ["recovered"]
+        try:
+            with ShardedLocater(dataset.building, dataset.metadata,
+                                chaos_table, shard_count=3,
+                                router=ComponentAffinityRouter.from_table(
+                                    chaos_table, dataset.building),
+                                executor=executor, shared_memory=True,
+                                recovery=RecoveryPolicy(backoff=(0.0,))
+                                ) as cluster:
+                got = []
+                for batch in workload.batches:
+                    cluster.ingest(batch.ingest)
+                    got.append(cluster.locate_batch(batch.queries))
+                assert got == expected
+                assert cluster.cache_stats().total == expected_totals
+                assert plan.exhausted
+                assert [episode.outcome for episode
+                        in cluster.recovery_events] == ["recovered"]
+        finally:
+            chaos_table.close()  # unlink the shared segments
 
     def test_sigkill_storage_side_effects_preserved(self, world):
         # An in-process shard is killed (emulated crash: the shard

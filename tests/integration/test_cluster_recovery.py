@@ -131,28 +131,33 @@ class TestRecovery:
                                 method="locate_batch", call_index=1)])
         executor = FaultInjectingExecutor(
             ProcessShardExecutor(call_timeout=0.5), plan)
-        with ShardedLocater(dataset.building, dataset.metadata,
-                            dataset.table, shard_count=2,
-                            router=_component_router(dataset),
-                            executor=executor,
-                            recovery=RecoveryPolicy(backoff=(0.0,))
-                            ) as cluster:
-            assert [cluster.locate_batch(half)
-                    for half in halves] == expected
-            assert cluster.cache_stats().total == expected_totals
-            [episode] = cluster.recovery_events
-            assert episode.shard_id == victim
-            assert episode.outcome == "recovered"
-            assert "did not answer" in episode.error
+        table = dataset.table.restrict(dataset.table.span())
+        try:
+            with ShardedLocater(dataset.building, dataset.metadata,
+                                table, shard_count=2,
+                                router=_component_router(dataset, table),
+                                executor=executor, shared_memory=True,
+                                recovery=RecoveryPolicy(backoff=(0.0,))
+                                ) as cluster:
+                assert [cluster.locate_batch(half)
+                        for half in halves] == expected
+                assert cluster.cache_stats().total == expected_totals
+                [episode] = cluster.recovery_events
+                assert episode.shard_id == victim
+                assert episode.outcome == "recovered"
+                assert "did not answer" in episode.error
+        finally:
+            table.close()  # unlink caller-owned shared segments
 
     @pytest.mark.skipif(not FORK_AVAILABLE, reason="fork unavailable")
-    def test_kill_during_ingest_fanout_keeps_replicas_consistent(
+    def test_kill_during_ingest_fanout_keeps_attached_views_consistent(
             self, small_dataset):
-        # The kill lands in the ingest fan-out itself.  The supervisor
-        # must *not* re-dispatch ingest_events to the replacement (it
-        # re-forked from the already-merged parent table: a replay
-        # would double-merge) — SKIP_AFTER_RESTART covers this — and
-        # every replica must end up tracking the authoritative table.
+        # The kill lands in the table-sync fan-out itself.  The
+        # supervisor must *not* re-dispatch apply_table_sync to the
+        # replacement (it attached the already-merged table's current
+        # segments: a replay would apply a stale-generation sync) —
+        # SKIP_AFTER_RESTART covers this — and every shard's view must
+        # end up tracking the authoritative table.
         dataset = small_dataset
         workload = streaming_day_workload(dataset, batches=3,
                                           queries_per_burst=6, seed=3)
@@ -175,27 +180,30 @@ class TestRecovery:
         victim = _busiest_shard(HashRouter(),
                                 workload.batches[1].queries, 3)
         plan = FaultPlan([Fault(shard_id=victim, kind="kill",
-                                method="ingest_events", call_index=1)])
+                                method="apply_table_sync", call_index=1)])
         executor = FaultInjectingExecutor(ProcessShardExecutor(), plan)
-        with ShardedLocater(dataset.building, dataset.metadata,
-                            chaos_table, shard_count=3, config=config,
-                            executor=executor,
-                            recovery=RecoveryPolicy(backoff=(0.0,))
-                            ) as cluster:
-            got = []
-            for batch in workload.batches:
-                cluster.ingest(batch.ingest)
-                got.append(cluster.locate_batch(batch.queries))
-            assert got == expected
-            assert plan.exhausted
-            [episode] = cluster.recovery_events
-            assert episode.method == "ingest_events"
-            assert episode.outcome == "recovered"
-            # Every replica — the resurrected one included — tracks the
-            # authoritative table exactly.
-            for stats in cluster.shard_stats():
-                assert stats["events"] == len(cluster.table)
-                assert stats["devices"] == cluster.table.device_count
+        try:
+            with ShardedLocater(dataset.building, dataset.metadata,
+                                chaos_table, shard_count=3, config=config,
+                                executor=executor, shared_memory=True,
+                                recovery=RecoveryPolicy(backoff=(0.0,))
+                                ) as cluster:
+                got = []
+                for batch in workload.batches:
+                    cluster.ingest(batch.ingest)
+                    got.append(cluster.locate_batch(batch.queries))
+                assert got == expected
+                assert plan.exhausted
+                [episode] = cluster.recovery_events
+                assert episode.method == "apply_table_sync"
+                assert episode.outcome == "recovered"
+                # Every shard — the resurrected one included — sees the
+                # authoritative table exactly.
+                for stats in cluster.shard_stats():
+                    assert stats["events"] == len(cluster.table)
+                    assert stats["devices"] == cluster.table.device_count
+        finally:
+            chaos_table.close()  # unlink caller-owned shared segments
 
     @pytest.mark.skipif(not FORK_AVAILABLE, reason="fork unavailable")
     def test_attached_worker_resurrects_against_current_segments(

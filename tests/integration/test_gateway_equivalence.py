@@ -280,31 +280,36 @@ class TestJournalReplay:
                         f"shard{replay.shard_of(mac)}:")
 
     def test_process_cluster_replay(self, day):
-        # Process replicas keep their warm state worker-side; the
-        # replay threads no state at all and must still reproduce the
-        # schedule (each worker session substitutes its own).
+        # Process shards keep their warm state worker-side; the replay
+        # threads no state at all and must still reproduce the
+        # schedule (each worker session substitutes its own).  Both
+        # clusters attach tables this test owns and closes.
         dataset, workload, background = day
-        with ShardedLocater(dataset.building, dataset.metadata,
-                            _warm_table(workload), shard_count=2,
-                            executor=ProcessShardExecutor()) as cluster:
-            gateway = AsyncGateway(cluster, max_wait=0.002, max_batch=16,
-                                   journal=True)
+        live_table, replay_table = _warm_table(workload), \
+            _warm_table(workload)
+        try:
+            with ShardedLocater(dataset.building, dataset.metadata,
+                                live_table, shard_count=2,
+                                executor=ProcessShardExecutor(),
+                                shared_memory=True) as cluster:
+                gateway = AsyncGateway(cluster, max_wait=0.002,
+                                       max_batch=16, journal=True)
 
-            async def main():
-                async with gateway:
-                    await gateway.ingest(
-                        list(workload.batches[0].ingest))
-                    await _serve_concurrently(
-                        gateway, background +
-                        list(workload.batches[0].queries), seed=3)
+                async def main():
+                    async with gateway:
+                        await gateway.ingest(
+                            list(workload.batches[0].ingest))
+                        await _serve_concurrently(
+                            gateway, background +
+                            list(workload.batches[0].queries), seed=3)
 
-            asyncio.run(main())
-            live_stats = cluster.cache_stats()
+                asyncio.run(main())
+                live_stats = cluster.cache_stats()
 
             with ShardedLocater(dataset.building, dataset.metadata,
-                                _warm_table(workload), shard_count=2,
-                                executor=ProcessShardExecutor()) \
-                    as replay:
+                                replay_table, shard_count=2,
+                                executor=ProcessShardExecutor(),
+                                shared_memory=True) as replay:
                 for record in gateway.journal:
                     if isinstance(record, IngestRecord):
                         replay.ingest(list(record.events))
@@ -313,6 +318,9 @@ class TestJournalReplay:
                             list(record.queries)) == \
                             list(record.answers)
                 assert replay.cache_stats().total == live_stats.total
+        finally:
+            live_table.close()
+            replay_table.close()
 
     @staticmethod
     def _assert_storage_matches(journal, live, replayed,

@@ -1,16 +1,18 @@
-"""Shared-memory cluster equivalence: attached views ≡ replicas ≡ lone.
+"""Shared-memory cluster equivalence: attached views ≡ lone.
 
-Extends ``test_cluster_equivalence.py`` to the zero-copy deployment
-shape: the table's hot columns live in named shared-memory segments
-(``ShardedLocater(..., shared_memory=True)``), process shard workers
-*attach* by segment name instead of inheriting a fork replica, and
-ingests fan out as :class:`~repro.events.table.TableSync` payloads.
-The invariant is unchanged — bitwise-identical answers — plus the new
-accounting claim the deployment exists for: N shards cost ~1× the
+Extends ``test_cluster_equivalence.py`` to the details of the only
+process-shard wiring: the table's hot columns live in named
+shared-memory segments (``ShardedLocater(..., shared_memory=True)``),
+process shard workers *attach* by segment name under fork and spawn
+alike, and ingests fan out as :class:`~repro.events.table.TableSync`
+payloads.  The invariant is unchanged — bitwise-identical answers —
+plus the accounting claim the wiring exists for: N shards cost ~1× the
 table's column bytes, not N×.
 """
 
 from __future__ import annotations
+
+import multiprocessing
 
 import pytest
 
@@ -26,6 +28,12 @@ from repro.system.config import LocaterConfig
 from repro.system.locater import Locater
 
 CONFIG = LocaterConfig(use_caching=False)
+
+START_METHODS = [
+    pytest.param(method, marks=pytest.mark.skipif(
+        method not in multiprocessing.get_all_start_methods(),
+        reason=f"{method} unavailable"))
+    for method in ("fork", "spawn")]
 
 
 @pytest.fixture(scope="module")
@@ -63,7 +71,6 @@ class TestAttachedBatchEquivalence:
                             dataset.table, shard_count=shards,
                             executor=ProcessShardExecutor(),
                             config=CONFIG, shared_memory=True) as cluster:
-            assert cluster._attached_shards
             assert cluster.locate_batch(queries) == lone_answers
 
     def test_spawn_attached_identical_to_lone(self, world, lone_answers):
@@ -86,21 +93,27 @@ class TestAttachedBatchEquivalence:
                             dataset.table, shard_count=3,
                             executor=SerialShardExecutor(),
                             config=CONFIG, shared_memory=True) as cluster:
-            assert not cluster._attached_shards
             assert cluster.locate_batch(queries) == lone_answers
 
-    def test_spawn_without_shared_store_rejected(self, world):
+    @pytest.mark.parametrize("start_method", START_METHODS)
+    def test_process_without_shared_store_rejected(self, world,
+                                                   start_method):
+        # No process shard runs over a heap table, and the cluster
+        # never migrates the caller's table on its own.
         dataset, _ = world
         workload = streaming_day_workload(dataset, batches=1,
                                           queries_per_burst=1, seed=3)
         heap_table = _warm_table(workload)
         try:
-            with pytest.raises(ConfigurationError):
+            with pytest.raises(ConfigurationError,
+                               match="shared_memory=True"):
                 ShardedLocater(
                     dataset.building, dataset.metadata, heap_table,
                     shard_count=2,
-                    executor=ProcessShardExecutor(start_method="spawn"),
+                    executor=ProcessShardExecutor(
+                        start_method=start_method),
                     config=CONFIG)
+            assert not heap_table.store.is_shared
         finally:
             heap_table.close()
 
@@ -114,33 +127,14 @@ class TestMemoryAccounting:
                             config=CONFIG, shared_memory=True) as cluster:
             cluster.locate_batch(queries[:6])  # force workers to map logs
             memory = cluster.table_memory()
-            assert memory["attached"]
             parent_bytes = memory["parent"]["column_bytes"]
             assert parent_bytes > 0
             # The cluster-wide total counts the shared segments once: 1×
-            # regardless of shard count (a fork-replica deployment would
-            # report (shards + 1) × parent_bytes here).
+            # regardless of shard count.
             assert memory["total_column_bytes"] == parent_bytes
             for shard in memory["shards"]:
                 assert shard["kind"] == "shared-attached"
                 assert shard["column_bytes"] == parent_bytes
-
-    def test_replicated_shards_cost_n_copies(self, world):
-        dataset, _ = world
-        workload = streaming_day_workload(dataset, batches=1,
-                                          queries_per_burst=1, seed=3)
-        heap_table = _warm_table(workload)
-        try:
-            with ShardedLocater(dataset.building, dataset.metadata,
-                                heap_table, shard_count=2,
-                                executor=ProcessShardExecutor(),
-                                config=CONFIG) as cluster:
-                memory = cluster.table_memory()
-                assert not memory["attached"]
-                parent_bytes = memory["parent"]["column_bytes"]
-                assert memory["total_column_bytes"] == 3 * parent_bytes
-        finally:
-            heap_table.close()
 
 
 class TestAttachedStreaming:

@@ -13,6 +13,7 @@ from repro.tools.perf_history import (
     check,
     extract_metrics,
     last_entry,
+    missing,
     record,
 )
 
@@ -33,6 +34,22 @@ def _gateway_payload(baseline_qps=1000.0, best_qps=2500.0):
 def _write_artifact(results: Path, bench: str, payload: dict) -> None:
     results.mkdir(parents=True, exist_ok=True)
     (results / f"BENCH_{bench}.json").write_text(json.dumps(payload))
+
+
+def _write_every_tracked_artifact(results: Path) -> None:
+    """Minimal artifacts for the whole manifest (a complete ledger)."""
+    payloads = {
+        "gateway": _gateway_payload(),
+        "streaming": {"ticks": [
+            {"rebuild_seconds": 3.0, "incremental_seconds": 0.25},
+            {"rebuild_seconds": 1.0, "incremental_seconds": 0.25}]},
+        "fine_core": {"speedup_vs_dict": 8.0},
+        "cluster_recovery": {"availability": 1.0, "chaos_seconds": 1.5,
+                             "control_seconds": 1.0},
+    }
+    assert set(payloads) == set(TRACKED)
+    for bench, payload in payloads.items():
+        _write_artifact(results, bench, payload)
 
 
 class TestExtraction:
@@ -126,10 +143,26 @@ class TestCheck:
         assert [r.metric for r in regressions] == ["chaos_over_control"]
         assert "rose" in regressions[0].render()
 
-    def test_no_history_means_no_gate(self, tmp_path):
+    def test_no_history_is_reported_missing(self, tmp_path):
+        # Nothing to compare against, so no regression — but the gate
+        # must still fail: missing() names the benchmark.
         results = tmp_path / "results"
-        _write_artifact(results, "gateway", _gateway_payload())
+        _write_every_tracked_artifact(results)
         assert check(results, results / "history") == []
+        assert missing(results, results / "history") == [
+            f"{bench}: no history entry in {results / 'history'}"
+            for bench in sorted(TRACKED)]
+
+    def test_missing_artifact_is_reported(self, tmp_path):
+        results = tmp_path / "results"
+        history = results / "history"
+        _write_every_tracked_artifact(results)
+        record(results, history, label="seed")
+        assert missing(results, history) == []
+        (results / "BENCH_streaming.json").unlink()
+        gaps = missing(results, history)
+        assert len(gaps) == 1
+        assert gaps[0].startswith("streaming: no artifact")
 
     def test_custom_tolerance(self, tmp_path):
         results, history = self._seed(tmp_path)
@@ -153,7 +186,7 @@ class TestCli:
 
     def test_record_then_check_gate(self, tmp_path):
         results = tmp_path / "results"
-        _write_artifact(results, "gateway", _gateway_payload())
+        _write_every_tracked_artifact(results)
         recorded = self._run(tmp_path, "record", "--label", "pr-test")
         assert recorded.returncode == 0
         assert "recorded gateway" in recorded.stdout
@@ -167,3 +200,13 @@ class TestCli:
         gated = self._run(tmp_path, "check")
         assert gated.returncode == 1
         assert "coalescing_speedup" in gated.stdout
+
+    def test_check_fails_on_missing_artifact(self, tmp_path):
+        results = tmp_path / "results"
+        _write_every_tracked_artifact(results)
+        assert self._run(tmp_path, "record").returncode == 0
+        (results / "BENCH_streaming.json").unlink()
+        gated = self._run(tmp_path, "check")
+        assert gated.returncode == 1
+        assert "missing streaming: no artifact" in gated.stdout
+        assert "1 tracked benchmark(s) missing" in gated.stderr

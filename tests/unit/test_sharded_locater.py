@@ -158,15 +158,22 @@ class TestClusterBatchState:
         assert sum(map(len, state.memo_dicts())) == 0
 
     def test_process_clusters_refuse_shared_state(self, small_dataset):
-        with ShardedLocater(small_dataset.building,
-                            small_dataset.metadata, small_dataset.table,
-                            shard_count=2,
-                            config=LocaterConfig(use_caching=False),
-                            executor=ProcessShardExecutor()) as cluster:
-            with pytest.raises(ConfigurationError):
-                cluster.make_batch_state()
-            with pytest.raises(ConfigurationError):
-                cluster.on_ingest(None)  # type: ignore[arg-type]
+        # A private copy: the cluster migrates it into shared memory,
+        # and closing it afterwards unlinks the segments.
+        table = small_dataset.table.restrict(small_dataset.table.span())
+        try:
+            with ShardedLocater(small_dataset.building,
+                                small_dataset.metadata, table,
+                                shard_count=2,
+                                config=LocaterConfig(use_caching=False),
+                                executor=ProcessShardExecutor(),
+                                shared_memory=True) as cluster:
+                with pytest.raises(ConfigurationError):
+                    cluster.make_batch_state()
+                with pytest.raises(ConfigurationError):
+                    cluster.on_ingest(None)  # type: ignore[arg-type]
+        finally:
+            table.close()
 
 
 class TestLifecycle:
